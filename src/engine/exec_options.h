@@ -60,12 +60,8 @@ struct ExecOptions {
   bool parallel = false;
 
   // --- Fused StateBatch executor -----------------------------------------
-  // Compute all of a query's aggregation states in one morsel-driven pass
-  // (shared input evaluation + fused accumulation) instead of one full
-  // column materialization + grouped pass per state. Default on; turn off
-  // to fall back to the legacy per-state path (kept for comparison
-  // benchmarks).
-  bool use_fused = true;
+  // Every execution path computes a query's aggregation states in one
+  // morsel-driven pass (shared input evaluation + fused accumulation).
   // Rows per morsel. Sized so the per-morsel scratch buffers of a typical
   // state batch stay cache-resident.
   int morsel_size = 65536;
@@ -77,7 +73,7 @@ struct ExecOptions {
   // --- Hardened execution (docs/robustness.md) ---------------------------
   // Borrowed per-query guard: cancellation token, wall-clock deadline,
   // memory budget. Checked at morsel boundaries in the fused executor, per
-  // select item / row batch in the legacy engine path, and between SUDAF
+  // select item / row batch in the engine-native path, and between SUDAF
   // pipeline stages. Null (default) disables all guard checks. The guard
   // must outlive every execution that uses these options.
   const QueryGuard* guard = nullptr;
@@ -85,7 +81,7 @@ struct ExecOptions {
   // --- Observability (docs/observability.md) -----------------------------
   // Borrowed sinks, both may be null (no recording). The session points
   // these at its MetricsRegistry and the current query's trace before
-  // executing; engine layers (fused executor, legacy engine path) record
+  // executing; engine layers (fused executor, engine-native path) record
   // counters and spans through them. Both must outlive the execution.
   MetricsRegistry* metrics = nullptr;
   QueryTrace* trace = nullptr;

@@ -15,16 +15,6 @@ namespace sudaf {
 
 namespace {
 
-// Evaluates a purely scalar expression over the frame into a double vector.
-Result<std::vector<double>> FrameVector(const Table& frame,
-                                        const Expr& expr) {
-  ColumnResolver resolver =
-      [&frame](const std::string& name) -> Result<const Column*> {
-    return frame.GetColumn(name);
-  };
-  return EvalNumericVector(expr, resolver, frame.num_rows());
-}
-
 bool IsNativeFinalized(const std::string& name) {
   return name == "avg" || name == "var" || name == "stddev";
 }
@@ -142,56 +132,53 @@ Result<std::unique_ptr<Table>> Executor::Execute(
   // avg/var/stddev finalizers — and compute them in ONE morsel-driven pass.
   // Duplicate channels (e.g. the count shared by every avg/var item, or
   // sum(x) shared by avg(x) and var(x)) are deduplicated by the batch
-  // engine, which removes the redundant passes the legacy path makes.
+  // engine.
   struct FusedItem {
     int direct = -1;            // primitive aggregate: finished state
     int cnt = -1, sum = -1, sum2 = -1;  // avg/var/stddev channels
   };
   std::vector<FusedItem> fused_items(stmt.items.size());
   std::vector<std::vector<double>> fused_batch;
-  if (opts.use_fused) {
-    std::vector<ExprPtr> keepalive;
-    std::vector<StateBatchRequest> requests;
-    for (size_t i = 0; i < stmt.items.size(); ++i) {
-      const Expr& expr = *stmt.items[i].expr;
-      if (expr.kind == ExprKind::kAggCall) {
-        fused_items[i].direct = static_cast<int>(requests.size());
-        if (expr.agg_op == AggOp::kCount) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({expr.agg_op, expr.args[0].get()});
-        }
-      } else if (expr.kind == ExprKind::kFuncCall &&
-                 IsNativeFinalized(expr.func_name) && expr.args.size() == 1) {
-        fused_items[i].cnt = static_cast<int>(requests.size());
+  std::vector<ExprPtr> keepalive;
+  std::vector<StateBatchRequest> requests;
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    const Expr& expr = *stmt.items[i].expr;
+    if (expr.kind == ExprKind::kAggCall) {
+      fused_items[i].direct = static_cast<int>(requests.size());
+      if (expr.agg_op == AggOp::kCount) {
         requests.push_back({AggOp::kCount, nullptr});
-        fused_items[i].sum = static_cast<int>(requests.size());
-        requests.push_back({AggOp::kSum, expr.args[0].get()});
-        if (expr.func_name != "avg") {
-          ExprPtr sq = Expr::Binary(BinaryOp::kMul, expr.args[0]->Clone(),
-                                    expr.args[0]->Clone());
-          fused_items[i].sum2 = static_cast<int>(requests.size());
-          requests.push_back({AggOp::kSum, sq.get()});
-          keepalive.push_back(std::move(sq));
-        }
+      } else {
+        requests.push_back({expr.agg_op, expr.args[0].get()});
+      }
+    } else if (expr.kind == ExprKind::kFuncCall &&
+               IsNativeFinalized(expr.func_name) && expr.args.size() == 1) {
+      fused_items[i].cnt = static_cast<int>(requests.size());
+      requests.push_back({AggOp::kCount, nullptr});
+      fused_items[i].sum = static_cast<int>(requests.size());
+      requests.push_back({AggOp::kSum, expr.args[0].get()});
+      if (expr.func_name != "avg") {
+        ExprPtr sq = Expr::Binary(BinaryOp::kMul, expr.args[0]->Clone(),
+                                  expr.args[0]->Clone());
+        fused_items[i].sum2 = static_cast<int>(requests.size());
+        requests.push_back({AggOp::kSum, sq.get()});
+        keepalive.push_back(std::move(sq));
       }
     }
-    if (!requests.empty()) {
-      ColumnResolver resolver =
-          [&frame](const std::string& name) -> Result<const Column*> {
-        return frame.GetColumn(name);
-      };
-      SUDAF_ASSIGN_OR_RETURN(
-          fused_batch,
-          ComputeStateBatch(requests, resolver, input.group_ids, num_groups,
-                            opts));
-    }
+  }
+  if (!requests.empty()) {
+    ColumnResolver resolver =
+        [&frame](const std::string& name) -> Result<const Column*> {
+      return frame.GetColumn(name);
+    };
+    SUDAF_ASSIGN_OR_RETURN(
+        fused_batch, ComputeStateBatch(requests, resolver, input.group_ids,
+                                       num_groups, opts));
   }
 
   for (size_t i = 0; i < stmt.items.size(); ++i) {
-    // Legacy per-item path: each select item may trigger a full-column
-    // materialization and grouped pass, so the guard is re-checked between
-    // items (the fused pre-pass above checks at morsel granularity).
+    // Hardcoded UDAFs run per select item, so the guard is re-checked
+    // between items (the fused pre-pass above checks at morsel
+    // granularity).
     if (opts.guard != nullptr) {
       SUDAF_RETURN_IF_ERROR(opts.guard->Check());
     }
@@ -216,17 +203,7 @@ Result<std::unique_ptr<Table>> Executor::Execute(
         out_schema.AddField(Field{out_name, DataType::kFloat64}));
 
     if (expr.kind == ExprKind::kAggCall) {
-      if (fused_items[i].direct >= 0) {
-        agg_outputs[i] = std::move(fused_batch[fused_items[i].direct]);
-        continue;
-      }
-      // Primitive aggregate through vectorized kernels (legacy path).
-      std::vector<double> in;
-      if (expr.agg_op != AggOp::kCount) {
-        SUDAF_ASSIGN_OR_RETURN(in, FrameVector(frame, *expr.args[0]));
-      }
-      agg_outputs[i] = ComputeGroupedState(expr.agg_op, in, input.group_ids,
-                                           num_groups, opts);
+      agg_outputs[i] = std::move(fused_batch[fused_items[i].direct]);
       continue;
     }
 
@@ -243,31 +220,13 @@ Result<std::unique_ptr<Table>> Executor::Execute(
         return Status::InvalidArgument(expr.func_name +
                                        "() takes one argument");
       }
-      std::vector<double> cnt, sum, sum2;
-      if (fused_items[i].cnt >= 0) {
-        cnt = std::move(fused_batch[fused_items[i].cnt]);
-        sum = std::move(fused_batch[fused_items[i].sum]);
-        if (fused_items[i].sum2 >= 0) {
-          sum2 = std::move(fused_batch[fused_items[i].sum2]);
-        }
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(std::vector<double> in,
-                               FrameVector(frame, *expr.args[0]));
-        cnt = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                  num_groups, opts);
-        sum = ComputeGroupedState(AggOp::kSum, in, input.group_ids,
-                                  num_groups, opts);
-        if (expr.func_name != "avg") {
-          std::vector<double> sq(in.size());
-          for (size_t r = 0; r < in.size(); ++r) sq[r] = in[r] * in[r];
-          sum2 = ComputeGroupedState(AggOp::kSum, sq, input.group_ids,
-                                     num_groups, opts);
-        }
-      }
+      const std::vector<double>& cnt = fused_batch[fused_items[i].cnt];
+      const std::vector<double>& sum = fused_batch[fused_items[i].sum];
       std::vector<double> out(num_groups);
       if (expr.func_name == "avg") {
         for (int32_t g = 0; g < num_groups; ++g) out[g] = sum[g] / cnt[g];
       } else {
+        const std::vector<double>& sum2 = fused_batch[fused_items[i].sum2];
         for (int32_t g = 0; g < num_groups; ++g) {
           double m = sum[g] / cnt[g];
           double v = sum2[g] / cnt[g] - m * m;

@@ -154,7 +154,7 @@ int BatchPlan::MakeLiteral(double v) {
 // pow with a constant exponent strength-reduces onto a shared
 // multiplication chain: x^4 = (x^3)·x reuses the x^3 and x^2 slots that
 // sibling states (e.g. kurtosis's sum(x^3), sum(x^2)) already need — work
-// the per-state legacy path repeats num_states times.
+// a per-state evaluation repeats num_states times.
 Result<int> BatchPlan::BuildPow(const Expr& base, const Expr& exponent,
                                 const ColumnResolver& resolver) {
   double c = 0.0;

@@ -4,8 +4,8 @@
 // Fused multi-state grouped aggregation — the StateBatch executor.
 //
 // SUDAF's rewrite turns one query into a set of aggregation states
-// s_j(X) = Σ⊕_j f_j(x_i) over the same scan. The legacy path computes each
-// state independently: materialize f_j over the whole column (one
+// s_j(X) = Σ⊕_j f_j(x_i) over the same scan. The per-state reference kernel
+// (ComputeGroupedState) computes each state independently: materialize f_j over the whole column (one
 // heap-allocated vector per state), then run one grouped pass over
 // `group_ids` per state — a kurtosis query touches the input five times.
 //

@@ -188,9 +188,6 @@ SudafSession::SudafSession(const Catalog* catalog, SessionOptions options)
   cache_.set_policy(options_.cache_policy);
 }
 
-SudafSession::SudafSession(const Catalog* catalog, ExecOptions exec)
-    : SudafSession(catalog, SessionOptions{}.set_exec(exec)) {}
-
 void SudafSession::set_cache_policy(const CachePolicy& policy) {
   {
     std::lock_guard<std::mutex> lock(options_mu_);
@@ -305,84 +302,98 @@ Result<QueryResult> SudafSession::ExecuteStatement(const SelectStatement& stmt,
   return ExecuteStatement(stmt, mode, exec_options());
 }
 
+namespace {
+
+// One query's observability plumbing, shared by every execution path: a
+// metrics registry private to the query (that is what makes concurrent
+// queries' stats independent — no delta arithmetic against a shared
+// registry), its trace, the "execute" root span whose accumulator IS
+// sudaf.query.total_ms (so the trace tree and the derived stats agree by
+// construction), and the guard/pool counters mirrored at the end.
+struct QueryRun {
+  std::shared_ptr<QueryTrace> trace;
+  std::unique_ptr<MetricsRegistry> qm;
+  ExecOptions run;  // caller knobs plus this query's observability sinks
+  std::unique_ptr<TraceSpan> root;
+  ThreadPool::Counters pool0;
+  int64_t guard_checks0 = 0;
+  int64_t guard_trips0 = 0;
+
+  void Begin(const ExecOptions& exec, const QueryGuard* guard,
+             const SessionOptions& session_opts) {
+    if (session_opts.collect_traces) {
+      trace = std::make_shared<QueryTrace>(session_opts.trace_capacity);
+    }
+    qm = std::make_unique<MetricsRegistry>();
+    run = exec;
+    run.metrics = qm.get();
+    run.trace = trace.get();
+    run.guard = guard;
+    pool0 = ThreadPool::Global().counters();
+    guard_checks0 = guard != nullptr ? guard->checks() : 0;
+    guard_trips0 = guard != nullptr ? guard->trips() : 0;
+    qm->counter("sudaf.query.count")->Add();
+    root = std::make_unique<TraceSpan>(trace.get(), "execute", -1,
+                                       qm->dcounter("sudaf.query.total_ms"));
+    run.trace_span = root->id();
+  }
+
+  // Closes the root span and mirrors the guard's (and, for a query that
+  // ran alone, the thread pool's) counter movement into the registry. The
+  // pool mirror over-attributes under concurrency — other queries' tasks
+  // land in the window — but stays exact for serial callers; batch members
+  // share one pass, so they leave it out. ExecStats is then derived
+  // straight from the registry (it started empty, so the snapshot IS the
+  // delta, including work done on error paths before the error surfaced),
+  // and the registry is folded into the session-lifetime `session_metrics`.
+  Result<QueryResult> Finish(Result<std::unique_ptr<Table>> table,
+                             bool mirror_pool,
+                             MetricsRegistry* session_metrics) {
+    root.reset();
+    if (mirror_pool) {
+      const ThreadPool::Counters pool = ThreadPool::Global().counters();
+      qm->counter("sudaf.pool.jobs")->Add(pool.jobs - pool0.jobs);
+      qm->counter("sudaf.pool.tasks")->Add(pool.tasks - pool0.tasks);
+    }
+    if (run.guard != nullptr) {
+      qm->counter("sudaf.guard.checks")
+          ->Add(run.guard->checks() - guard_checks0);
+      qm->counter("sudaf.guard.trips")->Add(run.guard->trips() - guard_trips0);
+    }
+    if (!table.ok()) qm->counter("sudaf.query.errors")->Add();
+    const MetricsSnapshot snap = qm->Snapshot();
+    session_metrics->Merge(snap);
+    SUDAF_RETURN_IF_ERROR(table.status());
+    QueryResult result;
+    result.table = std::move(*table);
+    result.stats = DeriveExecStats(snap);
+    result.trace = std::move(trace);
+    return result;
+  }
+};
+
+}  // namespace
+
 Result<QueryResult> SudafSession::ExecuteStatement(const SelectStatement& stmt,
                                                    ExecMode mode,
                                                    const ExecOptions& exec) {
-  std::shared_ptr<QueryTrace> trace;
-  {
-    std::lock_guard<std::mutex> lock(options_mu_);
-    if (options_.collect_traces) {
-      trace = std::make_shared<QueryTrace>(options_.trace_capacity);
-    }
+  if (mode != ExecMode::kEngine) {
+    // A SUDAF query is served by the one state-serving core as a group of
+    // one.
+    std::vector<Result<QueryResult>> results;
+    results.emplace_back(Status::Internal("query was not executed"));
+    ExecuteGroup({0}, {BatchItem{&stmt, nullptr}},
+                 mode == ExecMode::kSudafShare, exec, nullptr, &results);
+    return std::move(results[0]);
   }
-
-  // Every metric this query produces goes to a registry private to it —
-  // that is what makes concurrent queries' stats independent (no delta
-  // arithmetic against a shared registry, no cross-query attribution). The
-  // final snapshot becomes ExecStats and is then folded into the
-  // session-lifetime registry.
-  MetricsRegistry qmetrics;
-
-  // Per-query run options: caller knobs plus this query's observability
-  // sinks. Engine layers only ever see these borrowed pointers.
-  ExecOptions run = exec;
-  run.metrics = &qmetrics;
-  run.trace = trace.get();
-
-  // The pool and guard keep their own cumulative counters; mirror the
-  // per-query movement into the registry so it shows up in snapshots.
-  // (The pool mirror over-attributes under concurrency — other queries'
-  // tasks land in the window — but stays exact for serial callers.)
-  const ThreadPool::Counters pool_before = ThreadPool::Global().counters();
-  const int64_t guard_checks_before =
-      run.guard != nullptr ? run.guard->checks() : 0;
-  const int64_t guard_trips_before =
-      run.guard != nullptr ? run.guard->trips() : 0;
-
-  qmetrics.counter("sudaf.query.count")->Add();
-
-  Result<std::unique_ptr<Table>> table = std::unique_ptr<Table>();
-  {
-    // Root span; its accumulator IS the total_ms metric, so the trace tree
-    // and the derived stats agree by construction.
-    TraceSpan root(trace.get(), "execute", -1,
-                   qmetrics.dcounter("sudaf.query.total_ms"));
-    run.trace_span = root.id();
-    table = mode == ExecMode::kEngine
-                ? executor_.Execute(stmt, run)
-                : ExecuteSudaf(stmt, mode == ExecMode::kSudafShare, run);
-  }
-
-  const ThreadPool::Counters pool_after = ThreadPool::Global().counters();
-  qmetrics.counter("sudaf.pool.jobs")->Add(pool_after.jobs - pool_before.jobs);
-  qmetrics.counter("sudaf.pool.tasks")
-      ->Add(pool_after.tasks - pool_before.tasks);
-  if (run.guard != nullptr) {
-    qmetrics.counter("sudaf.guard.checks")
-        ->Add(run.guard->checks() - guard_checks_before);
-    qmetrics.counter("sudaf.guard.trips")
-        ->Add(run.guard->trips() - guard_trips_before);
-  }
-  if (!table.ok()) qmetrics.counter("sudaf.query.errors")->Add();
-
-  // Derive the stats struct straight from the per-query registry — it
-  // started empty, so the snapshot IS the delta. This also attributes work
-  // that happened on error paths (invalidations, guard trips) before the
-  // error surfaces. Then fold the query's metrics into the cumulative
-  // session registry.
-  ExecStats stats = DeriveExecStats(qmetrics.Snapshot());
-  metrics_.Merge(qmetrics.Snapshot());
-
+  QueryRun q;
+  q.Begin(exec, exec.guard, options());
+  Result<std::unique_ptr<Table>> table = executor_.Execute(stmt, q.run);
+  Result<QueryResult> result =
+      q.Finish(std::move(table), /*mirror_pool=*/true, &metrics_);
   // Run any WAL compaction this query's cache traffic deferred, now that
   // no cache locks are held.
   MaybeCompactCache();
-
-  SUDAF_RETURN_IF_ERROR(table.status());
-
-  QueryResult result;
-  result.table = std::move(*table);
-  result.stats = stats;
-  result.trace = std::move(trace);
   return result;
 }
 
@@ -395,21 +406,7 @@ Result<std::string> SudafSession::ExplainRewrite(
   return rewritten.Explain(*stmt);
 }
 
-Status SudafSession::Prefetch(const std::string& sql) {
-  SUDAF_ASSIGN_OR_RETURN(QueryResult ignored,
-                         Execute(sql, ExecMode::kSudafShare));
-  (void)ignored;
-  return Status::OK();
-}
-
 namespace {
-
-// Per-state execution descriptor.
-struct StateExec {
-  StateClass cls;
-  SharedComputation share_fn;  // Share(state, cls.rep)
-  bool from_cache = false;
-};
 
 // Consistent (epochs, segment log) view of a statement's tables. The two
 // catalog reads are separate lock acquisitions, so the epochs are re-read
@@ -493,7 +490,7 @@ std::vector<double> ExtendChannel(const std::vector<double>& channel,
 StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     const SelectStatement& stmt, const StateCache::GroupSetPtr& stale,
     const CatalogEpochs& epochs, const std::vector<int64_t>& segments,
-    const std::vector<RefreshTarget>& targets, const ExecOptions& exec) {
+    const std::vector<SharedStatePlan::Rep>& reps, const ExecOptions& exec) {
   MetricsRegistry& qm = *exec.metrics;
   QueryTrace* trace = exec.trace;
   const CacheOps cops{exec.metrics, trace};
@@ -510,19 +507,18 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     return nullptr;
   }
 
-  // Copy out every target entry still cached (channel sizes must match the
-  // set's group count — a malformed set is not worth trusting). With
-  // nothing to carry forward, a cold recompute is strictly better.
+  // Copy out every class representative still cached (channel sizes must
+  // match the set's group count — a malformed set is not worth trusting).
+  // With nothing to carry forward, a cold recompute is strictly better.
   struct Carried {
-    const RefreshTarget* target = nullptr;
+    const SharedStatePlan::Rep* rep = nullptr;
     StateCache::Entry old_entry;
   };
   std::vector<Carried> carried;
-  std::set<std::string> seen;
-  for (const RefreshTarget& t : targets) {
-    if (t.cls == nullptr || !seen.insert(t.key).second) continue;
+  for (const SharedStatePlan::Rep& rep : reps) {
+    if (rep.direct) continue;
     StateCache::Entry copied;
-    if (cache_.ProbeEntry(stale.get(), t.key, &copied, cops) !=
+    if (cache_.ProbeEntry(stale.get(), rep.key, &copied, cops) !=
         StateCache::Probe::kHit) {
       continue;
     }
@@ -531,7 +527,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
          static_cast<int32_t>(copied.sign.size()) != stale->num_groups)) {
       return nullptr;
     }
-    carried.push_back({&t, std::move(copied)});
+    carried.push_back({&rep, std::move(copied)});
   }
   if (carried.empty()) return nullptr;
 
@@ -550,11 +546,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   dopts.trace_span = refresh_span.id();
   std::vector<std::string> extra_columns;
   for (const Carried& c : carried) {
-    ExprPtr main = c.target->cls->MainInputExpr();
-    if (main != nullptr) main->CollectColumns(&extra_columns);
-    if (c.target->cls->log_domain) {
-      c.target->cls->SignInputExpr()->CollectColumns(&extra_columns);
-    }
+    CollectClassColumns(c.rep->cls, /*direct=*/false, &extra_columns);
   }
   Result<PreparedInput> delta_or =
       executor_.Prepare(stmt, extra_columns, dopts);
@@ -611,32 +603,14 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   }
 
   // One fused pass over the delta, folding onto the cached accumulators.
-  std::vector<ExprPtr> keepalive;
-  std::vector<StateBatchRequest> requests;
+  BatchRequestPlan rq;
+  std::vector<ChannelSlots> idx(carried.size());
   std::vector<std::vector<double>> inits;
-  struct ChannelIdx {
-    int main = -1;
-    int sign = -1;
-  };
-  std::vector<ChannelIdx> idx(carried.size());
   for (size_t i = 0; i < carried.size(); ++i) {
-    const StateClass& cls = *carried[i].target->cls;
-    ExprPtr main = cls.MainInputExpr();
-    const AggOp main_op = main == nullptr ? AggOp::kCount : cls.MainOp();
-    idx[i].main = static_cast<int>(requests.size());
-    if (main == nullptr) {
-      requests.push_back({AggOp::kCount, nullptr});
-    } else {
-      requests.push_back({main_op, main.get()});
-      keepalive.push_back(std::move(main));
-    }
-    inits.push_back(
-        ExtendChannel(carried[i].old_entry.main, new_n, AggIdentity(main_op)));
-    if (cls.log_domain) {
-      ExprPtr sign = cls.SignInputExpr();
-      idx[i].sign = static_cast<int>(requests.size());
-      requests.push_back({AggOp::kProd, sign.get()});
-      keepalive.push_back(std::move(sign));
+    idx[i] = rq.Add(carried[i].rep->cls);
+    inits.push_back(ExtendChannel(carried[i].old_entry.main, new_n,
+                                  AggIdentity(rq.requests[idx[i].main].op)));
+    if (idx[i].sign >= 0) {
       inits.push_back(ExtendChannel(carried[i].old_entry.sign, new_n,
                                     AggIdentity(AggOp::kProd)));
     }
@@ -655,7 +629,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   bopts.trace_span = refresh_span.id();
   StateBatchStats bstats;
   Result<std::vector<std::vector<double>>> channels_or = ComputeStateBatch(
-      requests, resolver, group_ids, new_n, bopts, &bstats, &inc);
+      rq.requests, resolver, group_ids, new_n, bopts, &bstats, &inc);
   if (!channels_or.ok()) return nullptr;
   std::vector<std::vector<double>>& channels = *channels_or;
 
@@ -665,7 +639,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     StateCache::Entry e;
     e.main = std::move(channels[idx[i].main]);
     if (idx[i].sign >= 0) e.sign = std::move(channels[idx[i].sign]);
-    entries.emplace_back(carried[i].target->key, std::move(e));
+    entries.emplace_back(carried[i].rep->key, std::move(e));
   }
 
   // Commit: erase(old) → create(new) → inserts, journaled in WAL order;
@@ -673,409 +647,6 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // race — the caller falls back to the cold path.
   return cache_.CommitRefresh(stale, *ext_keys, new_n, epochs, snap, entries,
                               snap - covered, cops);
-}
-
-Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
-    const SelectStatement& stmt, bool share, const ExecOptions& exec) {
-  if (exec.guard != nullptr) SUDAF_RETURN_IF_ERROR(exec.guard->Check());
-  QueryTrace* trace = exec.trace;
-  // The query-private registry (set up by ExecuteStatement) and the cache
-  // observer handles carrying it into every cache call.
-  MetricsRegistry& qm = *exec.metrics;
-  const CacheOps cops{exec.metrics, trace};
-
-  // 1. Rewrite: expand UDAFs, factor out states, build terminating plans.
-  TraceSpan rewrite_span(trace, "rewrite", exec.trace_span,
-                         qm.dcounter("sudaf.phase.rewrite_ms"));
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(stmt, library_));
-  rewrite_span.Close();
-  const std::vector<AggStateDef>& states = rewritten.form.states;
-  qm.counter("sudaf.states.requested")
-      ->Add(static_cast<int64_t>(states.size()));
-
-  // 2. Classify states and probe the cache.
-  TraceSpan probe_span(trace, "probe", exec.trace_span,
-                       qm.dcounter("sudaf.phase.probe_ms"));
-  std::vector<StateExec> execs(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    StateExec& ex = execs[i];
-    ex.cls = ClassifyState(states[i]);
-    std::optional<SharedComputation> fn = Share(states[i], ex.cls.rep);
-    if (!fn.has_value()) {
-      // The classification was coarser than the theorem allows for this
-      // instance; fall back to a self-class (always shareable: identity).
-      ex.cls.key = "self|" + states[i].Key();
-      ex.cls.rep = states[i].Clone();
-      ex.cls.log_domain = false;
-      fn = SharedComputation{};
-    }
-    ex.share_fn = *fn;
-  }
-
-  // The combined catalog epochs of the query's tables version every probe
-  // and insert: a set cached under a different *rewrite* epoch is discarded
-  // rather than served, while one lagging only in *append* epoch is
-  // refreshed in place — a fused pass over just the appended segments is
-  // folded onto the cached accumulators (docs/robustness.md;
-  // docs/execution.md, "Incremental maintenance").
-  TableSnapshot snap;
-  if (share) snap = SnapshotTables(*catalog_, stmt.tables);
-  StateCache::GroupSetPtr group_set;
-  if (share) {
-    SUDAF_FAILPOINT("cache:probe");
-    const bool can_refresh = exec.use_fused && snap.rows >= 0;
-    StateCache::FindResult found =
-        cache_.Find(rewritten.data_signature, snap.epochs, can_refresh, cops);
-    group_set = found.set;
-    if (found.refreshable != nullptr) {
-      std::vector<RefreshTarget> targets;
-      targets.reserve(execs.size());
-      for (const StateExec& ex : execs) {
-        targets.push_back(RefreshTarget{ex.cls.key, &ex.cls});
-      }
-      group_set = RefreshGroupSet(stmt, found.refreshable, snap.epochs,
-                                  snap.segments, targets, exec);
-      if (group_set == nullptr) {
-        // Refresh abandoned (or lost a race): resolve the probe the hard
-        // way — a non-refreshing re-probe invalidates the lagging set (or
-        // returns a concurrent winner) and counts the resolution.
-        group_set =
-            cache_.Find(rewritten.data_signature, snap.epochs, false, cops)
-                .set;
-      }
-    }
-  }
-  bool any_miss = false;
-  for (size_t i = 0; i < states.size(); ++i) {
-    if (share && group_set != nullptr) {
-      // ProbeEntry evicts poisoned entries internally (defense in depth:
-      // poison can't enter the cache through this session, but an entry
-      // may have been poisoned by other means) and counts the eviction;
-      // kPoisoned is a miss from this query's point of view.
-      StateCache::Probe probe =
-          cache_.ProbeEntry(group_set.get(), execs[i].cls.key, nullptr, cops);
-      if (probe == StateCache::Probe::kHit) {
-        execs[i].from_cache = true;
-        qm.counter("sudaf.cache.probe_hits")->Add();
-        probe_span.Event("cache.hit");
-        continue;
-      }
-    }
-    if (share) {
-      qm.counter("sudaf.cache.probe_misses")->Add();
-      probe_span.Event("cache.miss");
-    }
-    any_miss = true;
-  }
-  probe_span.Close();
-
-  // 3. Obtain the grouped input (scanning base data only when some state
-  //    actually needs computing — the all-hit case never touches the data).
-  PreparedInput input;
-  const Table* group_keys = nullptr;
-  int32_t num_groups = 0;
-
-  if (any_miss || states.empty()) {
-    TraceSpan input_span(trace, "input", exec.trace_span,
-                         qm.dcounter("sudaf.phase.input_ms"));
-    std::vector<std::string> extra_columns;
-    for (size_t i = 0; i < states.size(); ++i) {
-      if (execs[i].from_cache) continue;
-      ExprPtr main = execs[i].cls.MainInputExpr();
-      if (main != nullptr) main->CollectColumns(&extra_columns);
-      if (execs[i].cls.log_domain) {
-        execs[i].cls.SignInputExpr()->CollectColumns(&extra_columns);
-      }
-      if (!share && states[i].input != nullptr) {
-        states[i].input->CollectColumns(&extra_columns);
-      }
-    }
-    // Nest the executor's filter/gather/group spans under the input span
-    // and hand the pipeline stages the parallelism knobs. Single-table
-    // share scans are clamped to the epoch snapshot's boundary so the
-    // states this query caches match the epochs they are stamped with even
-    // when an append lands mid-query.
-    ExecOptions input_opts = exec;
-    input_opts.trace_span = input_span.id();
-    ScanSpec snap_scan;
-    if (share && snap.rows >= 0) {
-      snap_scan.end = snap.rows;
-      snap_scan.segment_ends = snap.segments;
-      input_opts.scan = &snap_scan;
-    }
-    SUDAF_ASSIGN_OR_RETURN(input,
-                           executor_.Prepare(stmt, extra_columns, input_opts));
-    qm.counter("sudaf.input.scans")->Add();
-    input_span.Event("rows", input.num_input_rows);
-    group_keys = input.group_keys.get();
-    num_groups = input.num_groups;
-    if (exec.guard != nullptr) {
-      SUDAF_RETURN_IF_ERROR(
-          exec.guard->ChargeMemory(input.frame->ApproxBytes()));
-      SUDAF_RETURN_IF_ERROR(exec.guard->Check());
-    }
-
-    if (share) {
-      group_set = cache_.GetOrCreate(rewritten.data_signature,
-                                     *input.group_keys, num_groups,
-                                     snap.epochs, snap.rows, cops);
-      // A recreated (stale) set lost its entries; demote affected states.
-      for (StateExec& ex : execs) {
-        if (ex.from_cache &&
-            cache_.ProbeEntry(group_set.get(), ex.cls.key, nullptr, cops) !=
-                StateCache::Probe::kHit) {
-          ex.from_cache = false;
-        }
-      }
-    }
-  } else {
-    group_keys = group_set->group_keys.get();
-    num_groups = group_set->num_groups;
-  }
-
-  // 4. Compute missing states.
-  TraceSpan states_span(trace, "states", exec.trace_span,
-                        qm.dcounter("sudaf.phase.states_ms"));
-  const Table* frame = input.frame.get();
-  ColumnResolver resolver = [frame](const std::string& name)
-      -> Result<const Column*> {
-    if (frame == nullptr) {
-      return Status::Internal("no input frame materialized");
-    }
-    return frame->GetColumn(name);
-  };
-
-  std::vector<std::vector<double>> state_values(states.size());
-  // Computed class entries local to this query (used in no-share mode and
-  // as a per-query dedup in share mode).
-  std::map<std::string, StateCache::Entry> local_entries;
-
-  if (exec.use_fused && any_miss) {
-    // Fused path: gather every missing channel — one (op, input) request per
-    // class main state plus an optional sign channel — and compute them all
-    // in a single morsel-driven pass over the frame. The distribution loop
-    // below then finds every entry pre-populated; its per-state compute
-    // branches only run on the legacy (use_fused == false) path.
-    std::vector<ExprPtr> keepalive;  // owns cloned inputs referenced below
-    std::vector<StateBatchRequest> requests;
-    struct PendingEntry {
-      std::string key;
-      int main_idx = -1;
-      int sign_idx = -1;
-      bool shared = false;  // destination: group_set (share) vs local_entries
-    };
-    std::vector<PendingEntry> pending;
-    std::set<std::string> scheduled;
-
-    for (size_t i = 0; i < states.size(); ++i) {
-      StateExec& ex = execs[i];
-      PendingEntry pe;
-      if (share) {
-        if (ex.from_cache ||
-            cache_.ProbeEntry(group_set.get(), ex.cls.key, nullptr, cops) ==
-                StateCache::Probe::kHit ||
-            !scheduled.insert(ex.cls.key).second) {
-          continue;
-        }
-        pe.key = ex.cls.key;
-        pe.shared = true;
-        ExprPtr main_expr = ex.cls.MainInputExpr();
-        pe.main_idx = static_cast<int>(requests.size());
-        if (main_expr == nullptr) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({ex.cls.MainOp(), main_expr.get()});
-          keepalive.push_back(std::move(main_expr));
-        }
-        if (ex.cls.log_domain) {
-          ExprPtr sign_expr = ex.cls.SignInputExpr();
-          pe.sign_idx = static_cast<int>(requests.size());
-          requests.push_back({AggOp::kProd, sign_expr.get()});
-          keepalive.push_back(std::move(sign_expr));
-        }
-      } else {
-        std::string direct_key = "direct|" + states[i].Key();
-        if (!scheduled.insert(direct_key).second) continue;
-        pe.key = std::move(direct_key);
-        pe.main_idx = static_cast<int>(requests.size());
-        if (states[i].op == AggOp::kCount) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({states[i].op, states[i].input.get()});
-        }
-      }
-      pending.push_back(std::move(pe));
-    }
-
-    if (!requests.empty()) {
-      // Parent the fused pass under the states phase, not the query root.
-      ExecOptions batch_opts = exec;
-      batch_opts.trace_span = states_span.id();
-      StateBatchStats bstats;
-      // Carry the input's segment layout into the pass: the accumulation
-      // tree must be a pure function of the segment log so a later delta
-      // refresh reproduces this cold result bit for bit.
-      StateBatchIncremental cold_inc;
-      cold_inc.segment_ends = input.segment_ends;
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<std::vector<double>> batch,
-          ComputeStateBatch(requests, resolver, input.group_ids, num_groups,
-                            batch_opts, &bstats, &cold_inc));
-      std::vector<StateCache::Entry> built(pending.size());
-      for (size_t p = 0; p < pending.size(); ++p) {
-        built[p].main = std::move(batch[pending[p].main_idx]);
-        if (pending[p].sign_idx >= 0) {
-          built[p].sign = std::move(batch[pending[p].sign_idx]);
-        }
-      }
-      // Two-phase commit: all insert-side failure checks fire before the
-      // first entry lands in the shared cache, so an injected fault can
-      // never leave a partial insert behind.
-      for (const PendingEntry& pe : pending) {
-        if (pe.shared) SUDAF_FAILPOINT("cache:insert");
-      }
-      for (size_t p = 0; p < pending.size(); ++p) {
-        PendingEntry& pe = pending[p];
-        bool poisoned = EntryIsPoisoned(built[p]);
-        if (poisoned) qm.counter("sudaf.states.poisoned")->Add();
-        if (pe.shared && !poisoned) {
-          // Budget-aware insert: the cache evicts colder group sets first
-          // and declines (false) when the entry cannot fit at all.
-          if (!cache_.InsertEntry(group_set.get(), pe.key, built[p], cops)) {
-            qm.counter("sudaf.cache.budget_rejects")->Add();
-          }
-        }
-        // Every computed entry is also kept query-local: the distribution
-        // loop serves from this map, so this query's answers cannot be
-        // perturbed by a concurrent eviction of what it just inserted.
-        local_entries.emplace(pe.key, std::move(built[p]));
-        qm.counter("sudaf.states.computed")->Add();
-      }
-    }
-  }
-
-  auto compute_class_entry =
-      [&](const StateClass& cls) -> Result<StateCache::Entry> {
-    StateCache::Entry entry;
-    ExprPtr main_expr = cls.MainInputExpr();
-    if (main_expr == nullptr) {
-      entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                       num_groups, exec);
-    } else {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, frame->num_rows()));
-      entry.main = ComputeGroupedState(cls.MainOp(), in, input.group_ids,
-                                       num_groups, exec);
-    }
-    if (cls.log_domain) {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> sgn,
-          EvalNumericVector(*cls.SignInputExpr(), resolver,
-                            frame->num_rows()));
-      entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
-                                       num_groups, exec);
-    }
-    return entry;
-  };
-
-  for (size_t i = 0; i < states.size(); ++i) {
-    const AggStateDef& state = states[i];
-    StateExec& ex = execs[i];
-
-    if (share) {
-      // Serving order: cache copy-out for probe hits, then this query's
-      // local entries, then a late cache re-probe, then compute. The copy
-      // lives on this frame's stack, so a concurrent eviction of the set
-      // cannot invalidate what we serve from.
-      const StateCache::Entry* entry = nullptr;
-      StateCache::Entry copied;
-      if (ex.from_cache &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops) ==
-              StateCache::Probe::kHit) {
-        entry = &copied;
-        qm.counter("sudaf.states.from_cache")->Add();
-      }
-      if (entry == nullptr) {
-        auto local_it = local_entries.find(ex.cls.key);
-        if (local_it != local_entries.end()) {
-          // Computed by this query (fused pass, or poisoned/budget-rejected
-          // earlier) — served locally.
-          entry = &local_it->second;
-        }
-      }
-      if (entry == nullptr &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops) ==
-              StateCache::Probe::kHit) {
-        // Present in the cache without a probe hit: inserted by a
-        // concurrent query after our probe.
-        entry = &copied;
-      }
-      if (entry == nullptr) {
-        if (frame == nullptr) {
-          // All states probed as hits, so no input was materialized — and
-          // then this entry vanished (poisoned externally mid-query). Too
-          // late to scan; fail definitively rather than serve garbage.
-          return Status::Internal("cached state vanished mid-query: " +
-                                  ex.cls.key);
-        }
-        SUDAF_ASSIGN_OR_RETURN(StateCache::Entry computed,
-                               compute_class_entry(ex.cls));
-        SUDAF_FAILPOINT("cache:insert");
-        qm.counter("sudaf.states.computed")->Add();
-        if (EntryIsPoisoned(computed)) {
-          qm.counter("sudaf.states.poisoned")->Add();
-        } else if (!cache_.InsertEntry(group_set.get(), ex.cls.key, computed,
-                                       cops)) {
-          // Declined under the byte budget: serve it query-local.
-          qm.counter("sudaf.cache.budget_rejects")->Add();
-        }
-        entry = &local_entries.emplace(ex.cls.key, std::move(computed))
-                     .first->second;
-      }
-      state_values[i].resize(num_groups);
-      for (int32_t g = 0; g < num_groups; ++g) {
-        double sign = entry->sign.empty() ? 1.0 : entry->sign[g];
-        state_values[i][g] =
-            ApplyFromClass(state, ex.cls, ex.share_fn, entry->main[g], sign);
-      }
-      continue;
-    }
-
-    // No-share mode: compute each requested state directly.
-    StateCache::Entry* local = nullptr;
-    std::string direct_key = "direct|" + state.Key();
-    auto it = local_entries.find(direct_key);
-    if (it == local_entries.end()) {
-      StateCache::Entry entry;
-      if (state.op == AggOp::kCount) {
-        entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                         num_groups, exec);
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, frame->num_rows()));
-        entry.main = ComputeGroupedState(state.op, in, input.group_ids,
-                                         num_groups, exec);
-      }
-      if (EntryIsPoisoned(entry)) {
-        qm.counter("sudaf.states.poisoned")->Add();
-      }
-      it = local_entries.emplace(direct_key, std::move(entry)).first;
-      qm.counter("sudaf.states.computed")->Add();
-    }
-    local = &it->second;
-    state_values[i] = local->main;
-  }
-  states_span.Close();
-
-  // 5. Terminating functions per group, output assembly, ORDER BY/LIMIT.
-  TraceSpan terminate_span(trace, "terminate", exec.trace_span,
-                           qm.dcounter("sudaf.phase.terminate_ms"));
-  Result<std::unique_ptr<Table>> result = AssembleRewrittenResult(
-      rewritten, stmt, *group_keys, num_groups, state_values);
-  return result;
 }
 
 std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
@@ -1125,8 +696,8 @@ std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
       if (members.size() == 1) {
         run_solo(members[0]);
       } else {
-        ExecuteSharedGroup(members, items, mode == ExecMode::kSudafShare, exec,
-                           &stats, &results);
+        ExecuteGroup(members, items, mode == ExecMode::kSudafShare, exec,
+                     &stats, &results);
       }
     }
   }
@@ -1159,20 +730,12 @@ std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
 
 namespace {
 
-// Per-member context of one shared-scan group: the same observability
-// plumbing ExecuteStatement sets up for a solo query (private registry,
-// trace, "execute" root span), plus the member's rewritten form and its
+// Per-member context of one group: the query's own plumbing (QueryRun:
+// private registry, trace, "execute" root span), its rewritten form and its
 // slots into the group's union state plan.
-struct GroupMember {
+struct GroupMember : QueryRun {
   size_t item = 0;
   const SelectStatement* stmt = nullptr;
-  const QueryGuard* guard = nullptr;
-  std::shared_ptr<QueryTrace> trace;
-  std::unique_ptr<MetricsRegistry> qm;
-  ExecOptions run;
-  std::unique_ptr<TraceSpan> root;  // "execute"; closing stamps total_ms
-  int64_t guard_checks0 = 0;
-  int64_t guard_trips0 = 0;
   RewrittenQuery rewritten;
   std::vector<SharedStatePlan::Slot> slots;
   Status failed;  // first definite per-member failure
@@ -1183,46 +746,38 @@ struct GroupMember {
 
 }  // namespace
 
-void SudafSession::ExecuteSharedGroup(
-    const std::vector<size_t>& members, const std::vector<BatchItem>& items,
-    bool share, const ExecOptions& exec, BatchExecStats* bstats,
-    std::vector<Result<QueryResult>>* results) {
+void SudafSession::ExecuteGroup(const std::vector<size_t>& members,
+                                const std::vector<BatchItem>& items,
+                                bool share, const ExecOptions& exec,
+                                BatchExecStats* bstats,
+                                std::vector<Result<QueryResult>>* results) {
+  // A group of one is a solo query. It differs from a batch member only
+  // where a shared pass would let one member's guard veto its neighbors:
+  // its guard also acts inside the scan and the fused pass, its pool
+  // movement is mirrored like any query that ran alone, and no batch
+  // accounting (BatchExecStats, sudaf.batch.size) moves.
   const int group_size = static_cast<int>(members.size());
-  bstats->groups_shared += 1;
-  bstats->queries_coalesced += group_size;
-
-  bool collect_traces;
-  int trace_capacity;
-  {
-    std::lock_guard<std::mutex> lock(options_mu_);
-    collect_traces = options_.collect_traces;
-    trace_capacity = options_.trace_capacity;
+  const bool solo = group_size == 1;
+  if (!solo) {
+    bstats->groups_shared += 1;
+    bstats->queries_coalesced += group_size;
   }
 
+  const SessionOptions session_opts = options();
   std::vector<GroupMember> ctx(members.size());
   for (size_t k = 0; k < members.size(); ++k) {
     GroupMember& m = ctx[k];
     m.item = members[k];
     m.stmt = items[m.item].stmt;
-    m.guard = items[m.item].guard != nullptr ? items[m.item].guard
-                                             : exec.guard;
-    if (collect_traces) m.trace = std::make_shared<QueryTrace>(trace_capacity);
-    m.qm = std::make_unique<MetricsRegistry>();
-    m.run = exec;
-    m.run.metrics = m.qm.get();
-    m.run.trace = m.trace.get();
-    m.run.guard = m.guard;
-    m.guard_checks0 = m.guard != nullptr ? m.guard->checks() : 0;
-    m.guard_trips0 = m.guard != nullptr ? m.guard->trips() : 0;
-    m.qm->counter("sudaf.query.count")->Add();
-    m.qm->counter("sudaf.batch.size")->Add(group_size);
-    m.root = std::make_unique<TraceSpan>(
-        m.trace.get(), "execute", -1,
-        m.qm->dcounter("sudaf.query.total_ms"));
-    m.run.trace_span = m.root->id();
-    m.root->Event("batch.group_size", group_size);
-    if (m.guard != nullptr) {
-      Status g = m.guard->Check();
+    m.Begin(exec,
+            items[m.item].guard != nullptr ? items[m.item].guard : exec.guard,
+            session_opts);
+    if (!solo) {
+      m.qm->counter("sudaf.batch.size")->Add(group_size);
+      m.root->Event("batch.group_size", group_size);
+    }
+    if (m.run.guard != nullptr) {
+      Status g = m.run.guard->Check();
       if (!g.ok()) m.failed = g;
     }
   }
@@ -1269,8 +824,10 @@ void SudafSession::ExecuteSharedGroup(
     m.slots = plan.AddQuery(m.rewritten.form.states, share);
   }
   const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
-  bstats->states_requested += plan.states_requested();
-  bstats->states_deduped += plan.states_deduped();
+  if (!solo) {
+    bstats->states_requested += plan.states_requested();
+    bstats->states_deduped += plan.states_deduped();
+  }
 
   Status group_status;  // a failure here is fatal to every alive member
   TableSnapshot snap;
@@ -1284,25 +841,20 @@ void SudafSession::ExecuteSharedGroup(
       return Status::OK();
     }();
     if (group_status.ok()) {
-      const bool can_refresh = exec.use_fused && snap.rows >= 0;
       StateCache::FindResult found =
           cache_.Find(lead->rewritten.data_signature, snap.epochs,
-                      can_refresh, lead_cops);
+                      /*can_refresh=*/snap.rows >= 0, lead_cops);
       group_set = found.set;
       if (found.refreshable != nullptr) {
         // One refresh for the whole group (attributed to the leader),
         // carrying forward every distinct representative it requests.
-        std::vector<RefreshTarget> targets;
-        targets.reserve(reps.size());
-        for (const SharedStatePlan::Rep& rep : reps) {
-          if (!rep.direct) {
-            targets.push_back(RefreshTarget{rep.key, &rep.cls});
-          }
-        }
         group_set = RefreshGroupSet(*lead->stmt, found.refreshable,
-                                    snap.epochs, snap.segments, targets,
+                                    snap.epochs, snap.segments, reps,
                                     lead->run);
         if (group_set == nullptr) {
+          // Refresh abandoned (or lost a race): resolve the probe the hard
+          // way — a non-refreshing re-probe invalidates the lagging set (or
+          // returns a concurrent winner) and counts the resolution.
           group_set = cache_.Find(lead->rewritten.data_signature, snap.epochs,
                                   false, lead_cops)
                           .set;
@@ -1335,8 +887,9 @@ void SudafSession::ExecuteSharedGroup(
   probe_spans.clear();
 
   // 3. Obtain the grouped input — one scan for the whole group, and only
-  // when some representative actually needs computing.
-  bool any_missing = false;
+  // when some representative actually needs computing (or there is none,
+  // and the group keys come from the data).
+  bool any_missing = reps.empty();
   for (size_t r = 0; r < reps.size(); ++r) {
     if (!rep_from_cache[r]) any_missing = true;
   }
@@ -1351,27 +904,17 @@ void SudafSession::ExecuteSharedGroup(
                            lead->qm->dcounter("sudaf.phase.input_ms"));
       std::vector<std::string> extra_columns;
       for (size_t r = 0; r < reps.size(); ++r) {
-        if (rep_from_cache[r]) continue;
-        const SharedStatePlan::Rep& rep = reps[r];
-        if (rep.direct) {
-          if (rep.cls.rep.input != nullptr) {
-            rep.cls.rep.input->CollectColumns(&extra_columns);
-          }
-          continue;
-        }
-        ExprPtr main = rep.cls.MainInputExpr();
-        if (main != nullptr) main->CollectColumns(&extra_columns);
-        if (rep.cls.log_domain) {
-          rep.cls.SignInputExpr()->CollectColumns(&extra_columns);
+        if (!rep_from_cache[r]) {
+          CollectClassColumns(reps[r].cls, reps[r].direct, &extra_columns);
         }
       }
       ExecOptions input_opts = lead->run;
       input_opts.trace_span = input_span.id();
-      // The scan runs guard-free: a single member's guard must not be able
-      // to veto the whole group's pass. Each member admits the shared
+      // A batch scan runs guard-free: a single member's guard must not be
+      // able to veto the whole group's pass. Each member admits the shared
       // frame under its own guard right below, and a tripped member drops
       // out while the group continues.
-      input_opts.guard = nullptr;
+      if (!solo) input_opts.guard = nullptr;
       // Clamp the group's shared scan to the epoch snapshot so the cached
       // states match the epochs they are stamped with even if an append
       // lands mid-query.
@@ -1391,12 +934,14 @@ void SudafSession::ExecuteSharedGroup(
         input_span.Event("rows", input.num_input_rows);
         group_keys = input.group_keys.get();
         num_groups = input.num_groups;
-        bstats->scan_passes += 1;
-        bstats->scan_passes_saved += group_size - 1;
+        if (!solo) {
+          bstats->scan_passes += 1;
+          bstats->scan_passes_saved += group_size - 1;
+        }
         for (GroupMember& m : ctx) {
-          if (!m.alive() || m.guard == nullptr) continue;
-          Status g = m.guard->ChargeMemory(input.frame->ApproxBytes());
-          if (g.ok()) g = m.guard->Check();
+          if (!m.alive() || m.run.guard == nullptr) continue;
+          Status g = m.run.guard->ChargeMemory(input.frame->ApproxBytes());
+          if (g.ok()) g = m.run.guard->Check();
           if (!g.ok()) m.failed = g;
         }
         if (share) {
@@ -1440,66 +985,36 @@ void SudafSession::ExecuteSharedGroup(
     return frame->GetColumn(name);
   };
 
-  // Entries computed by this group, shared across members (the analogue of
-  // the solo path's query-local map — a concurrent eviction of what the
-  // group just inserted cannot perturb any member's answer).
+  // Entries computed by this group, shared across members (a concurrent
+  // eviction of what the group just inserted cannot perturb any member's
+  // answer).
   std::map<std::string, StateCache::Entry> local_entries;
   std::vector<bool> computed_rep(reps.size(), false);
 
-  // One fused pass over the union DAG: every representative still missing,
-  // all queries' channels in a single morsel sweep. Attributed to the pass
-  // owner (the first member still alive when the pass starts).
-  auto compute_missing = [&](GroupMember& m, int states_span_id) -> Status {
-    const CacheOps mc{m.qm.get(), m.trace.get()};
-    std::vector<bool> need(reps.size(), false);
-    bool any_need = false;
-    for (size_t r = 0; r < reps.size(); ++r) {
-      if (share && rep_from_cache[r]) continue;
-      if (share && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr, mc) ==
-              StateCache::Probe::kHit) {
-        continue;  // inserted by a concurrent query since our probe
-      }
-      need[r] = true;
-      any_need = true;
-    }
-    if (!any_need) return Status::OK();
-
+  // Computes the representatives with need[r] in one fused pass over the
+  // frame and commits them: insert-side failpoints all fire before the
+  // first entry lands in the shared cache (two-phase), poisoned entries
+  // are served but never cached, and every entry also lands in
+  // local_entries. The pass carries the input's segment layout, so its
+  // accumulation tree is a pure function of the segment log and a later
+  // delta refresh reproduces it bit for bit. `batch_pass` is the group's
+  // one pass over every missing representative: it runs guard-free for a
+  // batch (per-member guards act at phase boundaries) and attributes each
+  // entry to the representative's owner; otherwise it is one member's late
+  // recompute, under and attributed to that member alone.
+  auto compute_reps = [&](const std::vector<bool>& need, GroupMember& m,
+                          int span_id, bool batch_pass) -> Status {
     BatchRequestPlan rq = BuildBatchRequests(plan, need);
-    std::vector<std::vector<double>> channels;
-    if (exec.use_fused) {
-      ExecOptions batch_opts = m.run;
-      batch_opts.trace_span = states_span_id;
-      // Same rationale as the scan: per-member guards act at phase
-      // boundaries, not inside the shared pass.
-      batch_opts.guard = nullptr;
-      StateBatchStats bs;
-      // Segment-aware like the solo path: the group's cold pass must be
-      // reproducible by a later per-segment delta refresh.
-      StateBatchIncremental cold_inc;
-      cold_inc.segment_ends = input.segment_ends;
-      SUDAF_ASSIGN_OR_RETURN(
-          channels, ComputeStateBatch(rq.requests, resolver, input.group_ids,
-                                      num_groups, batch_opts, &bs, &cold_inc));
-    } else {
-      // Legacy path: one kernel sweep per channel — still one scan and one
-      // evaluation per representative for the whole group.
-      channels.resize(rq.requests.size());
-      for (size_t i = 0; i < rq.requests.size(); ++i) {
-        const StateBatchRequest& r = rq.requests[i];
-        if (r.input == nullptr) {
-          channels[i] = ComputeGroupedState(AggOp::kCount, {},
-                                            input.group_ids, num_groups,
-                                            m.run);
-        } else {
-          SUDAF_ASSIGN_OR_RETURN(
-              std::vector<double> in,
-              EvalNumericVector(*r.input, resolver, frame->num_rows()));
-          channels[i] = ComputeGroupedState(r.op, in, input.group_ids,
-                                            num_groups, m.run);
-        }
-      }
-    }
+    ExecOptions batch_opts = m.run;
+    batch_opts.trace_span = span_id;
+    if (batch_pass && !solo) batch_opts.guard = nullptr;
+    StateBatchStats bs;
+    StateBatchIncremental cold_inc;
+    cold_inc.segment_ends = input.segment_ends;
+    SUDAF_ASSIGN_OR_RETURN(
+        std::vector<std::vector<double>> channels,
+        ComputeStateBatch(rq.requests, resolver, input.group_ids, num_groups,
+                          batch_opts, &bs, &cold_inc));
 
     struct Built {
       size_t rep = 0;
@@ -1516,77 +1031,56 @@ void SudafSession::ExecuteSharedGroup(
       }
       built.push_back(std::move(b));
     }
-    // Two-phase commit (solo parity): all insert-side failure checks fire
-    // before the first entry lands in the shared cache.
     if (share) {
       for (size_t b = 0; b < built.size(); ++b) {
         SUDAF_FAILPOINT("cache:insert");
       }
     }
     for (Built& b : built) {
-      GroupMember* owner = rep_owner[b.rep] != nullptr ? rep_owner[b.rep] : &m;
+      GroupMember* owner =
+          batch_pass && rep_owner[b.rep] != nullptr ? rep_owner[b.rep] : &m;
       const CacheOps oc{owner->qm.get(), owner->trace.get()};
       if (EntryIsPoisoned(b.entry)) {
         owner->qm->counter("sudaf.states.poisoned")->Add();
       } else if (share && group_set != nullptr &&
                  !cache_.InsertEntry(group_set.get(), reps[b.rep].key,
                                      b.entry, oc)) {
+        // Declined under the byte budget: served query-local.
         owner->qm->counter("sudaf.cache.budget_rejects")->Add();
       }
       local_entries.emplace(reps[b.rep].key, std::move(b.entry));
-      computed_rep[b.rep] = true;
+      if (batch_pass) computed_rep[b.rep] = true;
       owner->qm->counter("sudaf.states.computed")->Add();
     }
     return Status::OK();
   };
 
-  // Late fallback, mirroring solo: recompute one representative for one
-  // member over the shared frame (reached only if an entry vanished from
-  // both the cache and the group's local map — i.e. never for entries the
-  // pass just computed).
-  auto compute_rep_entry = [&](const SharedStatePlan::Rep& rep,
-                               GroupMember& m) -> Result<StateCache::Entry> {
-    StateCache::Entry entry;
-    if (rep.direct) {
-      if (rep.cls.rep.op == AggOp::kCount) {
-        entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                         num_groups, m.run);
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*rep.cls.rep.input, resolver,
-                              frame->num_rows()));
-        entry.main = ComputeGroupedState(rep.cls.rep.op, in, input.group_ids,
-                                         num_groups, m.run);
+  // The group's one pass: every representative still missing, all
+  // members' channels in a single morsel sweep, attributed to the pass
+  // owner (the first member still alive when the pass starts).
+  auto compute_missing = [&](GroupMember& m, int states_span_id) -> Status {
+    const CacheOps mc{m.qm.get(), m.trace.get()};
+    std::vector<bool> need(reps.size(), false);
+    bool any_need = false;
+    for (size_t r = 0; r < reps.size(); ++r) {
+      if (share && rep_from_cache[r]) continue;
+      if (share && group_set != nullptr &&
+          cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr, mc) ==
+              StateCache::Probe::kHit) {
+        continue;  // inserted by a concurrent query since our probe
       }
-      return entry;
+      need[r] = true;
+      any_need = true;
     }
-    ExprPtr main_expr = rep.cls.MainInputExpr();
-    if (main_expr == nullptr) {
-      entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                       num_groups, m.run);
-    } else {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, frame->num_rows()));
-      entry.main = ComputeGroupedState(rep.cls.MainOp(), in, input.group_ids,
-                                       num_groups, m.run);
-    }
-    if (rep.cls.log_domain) {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> sgn,
-          EvalNumericVector(*rep.cls.SignInputExpr(), resolver,
-                            frame->num_rows()));
-      entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
-                                       num_groups, m.run);
-    }
-    return entry;
+    if (!any_need) return Status::OK();
+    return compute_reps(need, m, states_span_id, /*batch_pass=*/true);
   };
 
-  // Serve one member from the per-rep entries: cache copy-out first, then
-  // the group's local entries, then a late cache re-probe, then per-member
-  // compute fallback — the exact solo serving order.
-  auto serve_member = [&](GroupMember& m,
+  // Serve one member from the per-rep entries: cache copy-out first (the
+  // copy lives on this frame, so a concurrent eviction cannot invalidate
+  // what is served), then the group's local entries, then a late cache
+  // re-probe, then a late recompute of the one representative.
+  auto serve_member = [&](GroupMember& m, int states_span_id,
                           std::vector<std::vector<double>>* out) -> Status {
     const std::vector<AggStateDef>& states = m.rewritten.form.states;
     const CacheOps mc{m.qm.get(), m.trace.get()};
@@ -1622,22 +1116,18 @@ void SudafSession::ExecuteSharedGroup(
       }
       if (entry == nullptr) {
         if (frame == nullptr) {
+          // Every rep probed as a hit, so no input was materialized — and
+          // then this entry vanished (poisoned externally mid-query). Too
+          // late to scan; fail definitively rather than serve garbage.
           return Status::Internal("cached state vanished mid-query: " +
                                   rep.key);
         }
-        SUDAF_ASSIGN_OR_RETURN(StateCache::Entry computed,
-                               compute_rep_entry(rep, m));
-        SUDAF_FAILPOINT("cache:insert");
-        m.qm->counter("sudaf.states.computed")->Add();
-        if (EntryIsPoisoned(computed)) {
-          m.qm->counter("sudaf.states.poisoned")->Add();
-        } else if (share && group_set != nullptr &&
-                   !cache_.InsertEntry(group_set.get(), rep.key, computed,
-                                       mc)) {
-          m.qm->counter("sudaf.cache.budget_rejects")->Add();
-        }
-        entry = &local_entries.emplace(rep.key, std::move(computed))
-                     .first->second;
+        // Probed as a hit, then evicted before serving.
+        std::vector<bool> need(reps.size(), false);
+        need[slot.rep] = true;
+        SUDAF_RETURN_IF_ERROR(
+            compute_reps(need, m, states_span_id, /*batch_pass=*/false));
+        entry = &local_entries.at(rep.key);
       }
       if (rep.direct) {
         (*out)[i] = entry->main;
@@ -1660,8 +1150,8 @@ void SudafSession::ExecuteSharedGroup(
     bool pass_done = false;
     for (GroupMember& m : ctx) {
       if (!m.alive()) continue;
-      if (m.guard != nullptr) {
-        Status g = m.guard->Check();
+      if (m.run.guard != nullptr) {
+        Status g = m.run.guard->Check();
         if (!g.ok()) {
           m.failed = g;
           continue;
@@ -1676,7 +1166,7 @@ void SudafSession::ExecuteSharedGroup(
           group_status = compute_missing(m, states_span.id());
           if (!group_status.ok()) break;
         }
-        Status served = serve_member(m, &state_values);
+        Status served = serve_member(m, states_span.id(), &state_values);
         if (!served.ok()) {
           m.failed = served;
           continue;
@@ -1702,31 +1192,18 @@ void SudafSession::ExecuteSharedGroup(
     }
   }
 
-  // Finalize each member exactly like ExecuteStatement: mirror guard
-  // movement (note: members sharing one guard object each see the full
-  // delta), close the root span, derive stats, fold into the session
-  // registry, publish the per-item result.
+  // Finalize each member: close its root span, mirror its counters,
+  // derive its stats, fold its registry into the session's and publish
+  // the per-item result.
   for (GroupMember& m : ctx) {
-    if (m.guard != nullptr) {
-      m.qm->counter("sudaf.guard.checks")
-          ->Add(m.guard->checks() - m.guard_checks0);
-      m.qm->counter("sudaf.guard.trips")
-          ->Add(m.guard->trips() - m.guard_trips0);
-    }
-    if (!m.failed.ok()) m.qm->counter("sudaf.query.errors")->Add();
-    m.root.reset();
-    ExecStats stats = DeriveExecStats(m.qm->Snapshot());
-    metrics_.Merge(m.qm->Snapshot());
-    if (!m.failed.ok()) {
-      (*results)[m.item] = m.failed;
-      continue;
-    }
-    QueryResult qr;
-    qr.table = std::move(m.table);
-    qr.stats = stats;
-    qr.trace = std::move(m.trace);
-    (*results)[m.item] = std::move(qr);
+    Result<std::unique_ptr<Table>> table =
+        m.alive() ? Result<std::unique_ptr<Table>>(std::move(m.table))
+                  : Result<std::unique_ptr<Table>>(m.failed);
+    (*results)[m.item] =
+        m.Finish(std::move(table), /*mirror_pool=*/solo, &metrics_);
   }
+  // Run any WAL compaction the group's cache traffic deferred, now that no
+  // cache locks are held.
   MaybeCompactCache();
 }
 

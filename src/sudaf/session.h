@@ -37,8 +37,8 @@
 // QueryResult::trace. `EXPLAIN ANALYZE <select>` surfaces the same data
 // through SQL.
 //
-// Thread safety (docs/service.md): Execute/ExecuteStatement/Prefetch are
-// safe for concurrent callers — the state cache, the persistence journal,
+// Thread safety (docs/service.md): Execute/ExecuteStatement/ExecuteBatch
+// are safe for concurrent callers — the state cache, the persistence journal,
 // the catalog epochs and the metrics/trace plumbing all synchronize
 // internally, and per-query state lives on the caller's stack. Session
 // configuration (set_default_exec_options, set_cache_policy, persistence
@@ -62,6 +62,7 @@
 #include "sudaf/cache.h"
 #include "sudaf/cache_persist.h"
 #include "sudaf/rewriter.h"
+#include "sudaf/shared_scan.h"
 #include "sudaf/sharing.h"
 
 namespace sudaf {
@@ -91,8 +92,8 @@ struct ExecStats {
   int states_computed = 0;
   bool scanned_base_data = false;
 
-  // Fused StateBatch executor observability (zero when the legacy
-  // per-state path ran, i.e. ExecOptions::use_fused == false).
+  // Fused StateBatch executor observability: what the query's fused
+  // passes did (all zero when every state was served from the cache).
   bool used_fused = false;
   int64_t morsels = 0;          // morsels processed across fused passes
   int fused_channels = 0;       // distinct (op, input) channels computed
@@ -142,8 +143,7 @@ struct ExecStats {
   // Service-layer fields (docs/service.md). Unlike everything above these
   // are NOT registry-derived: QueryService fills them in after the session
   // call returns. They stay zero/false when a session is driven directly.
-  int service_attempts = 0;               // 1 + retries for this request
-  bool degraded_fused_fallback = false;   // served by the legacy engine path
+  int service_attempts = 0;                 // 1 + retries for this request
   bool degraded_cache_memory_only = false;  // persistence breaker was open
 };
 
@@ -176,10 +176,9 @@ struct QueryResult {
 
 // Session-construction knobs, separated by scope: `exec` holds the
 // per-query defaults (any Execute call can override them), everything else
-// is session-lifetime state. This replaces the old pattern of smuggling
-// the cache budget through ExecOptions — set_exec_options() used to
-// silently re-apply the cache policy, which made a per-query knob mutate
-// session state; CachePolicy now lives here, explicitly.
+// is session-lifetime state. The cache budget (CachePolicy) lives here,
+// not in the per-query ExecOptions, so no per-query knob mutates session
+// state.
 struct SessionOptions {
   // Default execution options for queries that don't pass their own.
   ExecOptions exec;
@@ -254,10 +253,6 @@ class SudafSession {
  public:
   // `catalog` must outlive the session.
   explicit SudafSession(const Catalog* catalog, SessionOptions options = {});
-  // Deprecated (kept for one release): wraps `exec` in SessionOptions.
-  // Note the cache policy no longer rides in ExecOptions — callers that
-  // set a budget must use SessionOptions::set_cache_policy.
-  SudafSession(const Catalog* catalog, ExecOptions exec);
 
   UdafLibrary& library() { return library_; }
   UdafRegistry& hardcoded() { return hardcoded_; }
@@ -279,12 +274,6 @@ class SudafSession {
   void set_default_exec_options(const ExecOptions& exec) {
     std::lock_guard<std::mutex> lock(options_mu_);
     options_.exec = exec;
-  }
-  // Deprecated alias for set_default_exec_options. Unlike the historical
-  // version it does NOT touch the cache policy (that footgun is gone);
-  // use set_cache_policy for the budget.
-  void set_exec_options(const ExecOptions& exec) {
-    set_default_exec_options(exec);
   }
   // Applies `policy` to the state cache, evicting down to the new budget
   // immediately.
@@ -382,36 +371,14 @@ class SudafSession {
   // select list) without executing it.
   Result<std::string> ExplainRewrite(const std::string& sql) const;
 
-  // Runs `sql` in share mode purely to warm the cache (e.g. prefetching a
-  // moments sketch before a query sequence, as in the AS2 experiments).
-  //
-  // Prefer QueryService::Prefetch / SubmitPrefetch when a service fronts
-  // this session: those go through admission control, so a prefetch is
-  // shed under load, honors its guard while queued, and is counted
-  // (sudaf.service.prefetches) like any other request. This direct form
-  // bypasses all of that and stays for service-less embeddings.
-  Status Prefetch(const std::string& sql);
-
  private:
-  // `exec.metrics` must point at the query-private registry (set up by
-  // ExecuteStatement); everything below the session writes only there.
-  Result<std::unique_ptr<Table>> ExecuteSudaf(const SelectStatement& stmt,
-                                              bool share,
-                                              const ExecOptions& exec);
-
-  // One cached entry a delta refresh should carry forward: its cache key
-  // and the class describing how to compute its channels.
-  struct RefreshTarget {
-    std::string key;
-    const StateClass* cls = nullptr;  // borrowed from the caller's execs
-  };
-
   // Attempts a segment-delta refresh of `stale` (a FindResult::refreshable
   // set): runs the fused pass over only the appended segments of the
   // single base table of `stmt`, folds the results onto the cached
-  // accumulators of every target present in `stale`, extends the group
-  // keys with first-occurring-in-delta groups (bit-identical to the cold
-  // full-scan group order), and commits through StateCache::CommitRefresh.
+  // accumulators of every class representative in `reps` (direct reps are
+  // skipped) present in `stale`, extends the group keys with
+  // first-occurring-in-delta groups (bit-identical to the cold full-scan
+  // group order), and commits through StateCache::CommitRefresh.
   // Returns the refreshed set, or null when the refresh was abandoned
   // (coverage not a live segment boundary, nothing cached to refresh,
   // delta pass failed, or a concurrent writer won) — the caller then
@@ -421,17 +388,21 @@ class SudafSession {
   StateCache::GroupSetPtr RefreshGroupSet(
       const SelectStatement& stmt, const StateCache::GroupSetPtr& stale,
       const CatalogEpochs& epochs, const std::vector<int64_t>& segments,
-      const std::vector<RefreshTarget>& targets, const ExecOptions& exec);
+      const std::vector<SharedStatePlan::Rep>& reps, const ExecOptions& exec);
 
-  // Runs one signature group of ExecuteBatch (>= 2 members, same data
-  // signature) as a single shared pass: one cache probe per distinct
-  // representative, at most one input scan, one fused pass over the union
-  // DAG, one insert per representative; per-member serving, termination,
-  // stats and traces. Fills results[members[i]] for every member.
-  void ExecuteSharedGroup(const std::vector<size_t>& members,
-                          const std::vector<BatchItem>& items, bool share,
-                          const ExecOptions& exec, BatchExecStats* bstats,
-                          std::vector<Result<QueryResult>>* results);
+  // The one state-serving core of both SUDAF modes. Runs one group of
+  // queries with the same data signature as a single shared pass: rewrite
+  // and classify every member into one union state plan, one cache probe
+  // per distinct representative (refreshing a set that lags only in
+  // append epoch), at most one input scan, one fused pass over the missing
+  // representatives, one insert per representative; then per-member
+  // serving, termination, stats and traces. Fills results[members[i]] for
+  // every member. A solo query (ExecuteStatement) is a group of one and
+  // passes a null `bstats`; ExecuteBatch passes groups of >= 2.
+  void ExecuteGroup(const std::vector<size_t>& members,
+                    const std::vector<BatchItem>& items, bool share,
+                    const ExecOptions& exec, BatchExecStats* bstats,
+                    std::vector<Result<QueryResult>>* results);
 
   // The persistence filesystem backend (SessionOptions::vfs; null means
   // Vfs::Default(), resolved by the persistence layer).

@@ -17,9 +17,9 @@ std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
       rep.cls = ClassifyState(states[i]);
       std::optional<SharedComputation> fn = Share(states[i], rep.cls.rep);
       if (!fn.has_value()) {
-        // Same fallback as solo execution: the classification was coarser
-        // than the theorem allows for this instance, so the state becomes
-        // its own (trivially shareable) representative.
+        // The classification was coarser than the theorem allows for this
+        // instance, so the state becomes its own (trivially shareable)
+        // representative.
         rep.cls.key = "self|" + states[i].Key();
         rep.cls.rep = states[i].Clone();
         rep.cls.log_domain = false;
@@ -47,6 +47,44 @@ std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
   return slots;
 }
 
+ChannelSlots BatchRequestPlan::Add(const StateClass& cls, bool direct) {
+  ChannelSlots slots;
+  slots.main = static_cast<int>(requests.size());
+  if (direct) {
+    if (cls.rep.op == AggOp::kCount) {
+      requests.push_back({AggOp::kCount, nullptr});
+    } else {
+      requests.push_back({cls.rep.op, cls.rep.input.get()});
+    }
+    return slots;
+  }
+  ExprPtr main_expr = cls.MainInputExpr();
+  if (main_expr == nullptr) {
+    requests.push_back({AggOp::kCount, nullptr});
+  } else {
+    requests.push_back({cls.MainOp(), main_expr.get()});
+    keepalive.push_back(std::move(main_expr));
+  }
+  if (cls.log_domain) {
+    ExprPtr sign_expr = cls.SignInputExpr();
+    slots.sign = static_cast<int>(requests.size());
+    requests.push_back({AggOp::kProd, sign_expr.get()});
+    keepalive.push_back(std::move(sign_expr));
+  }
+  return slots;
+}
+
+void CollectClassColumns(const StateClass& cls, bool direct,
+                         std::vector<std::string>* out) {
+  if (direct) {
+    if (cls.rep.input != nullptr) cls.rep.input->CollectColumns(out);
+    return;
+  }
+  ExprPtr main = cls.MainInputExpr();
+  if (main != nullptr) main->CollectColumns(out);
+  if (cls.log_domain) cls.SignInputExpr()->CollectColumns(out);
+}
+
 BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
                                     const std::vector<bool>& need) {
   BatchRequestPlan out;
@@ -55,29 +93,9 @@ BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
   out.sign_idx.assign(reps.size(), -1);
   for (size_t r = 0; r < reps.size(); ++r) {
     if (r >= need.size() || !need[r]) continue;
-    const SharedStatePlan::Rep& rep = reps[r];
-    out.main_idx[r] = static_cast<int>(out.requests.size());
-    if (rep.direct) {
-      if (rep.cls.rep.op == AggOp::kCount) {
-        out.requests.push_back({AggOp::kCount, nullptr});
-      } else {
-        out.requests.push_back({rep.cls.rep.op, rep.cls.rep.input.get()});
-      }
-      continue;
-    }
-    ExprPtr main_expr = rep.cls.MainInputExpr();
-    if (main_expr == nullptr) {
-      out.requests.push_back({AggOp::kCount, nullptr});
-    } else {
-      out.requests.push_back({rep.cls.MainOp(), main_expr.get()});
-      out.keepalive.push_back(std::move(main_expr));
-    }
-    if (rep.cls.log_domain) {
-      ExprPtr sign_expr = rep.cls.SignInputExpr();
-      out.sign_idx[r] = static_cast<int>(out.requests.size());
-      out.requests.push_back({AggOp::kProd, sign_expr.get()});
-      out.keepalive.push_back(std::move(sign_expr));
-    }
+    ChannelSlots slots = out.Add(reps[r].cls, reps[r].direct);
+    out.main_idx[r] = slots.main;
+    out.sign_idx[r] = slots.sign;
   }
   return out;
 }

@@ -15,9 +15,10 @@
 // union state DAG a shared-scan batch executes in a single fused pass.
 //
 // The plan is a pure bookkeeping structure (no execution): the session's
-// batch executor walks reps() to probe the cache, schedules the missing
-// ones through BuildBatchRequests(), and serves every query from the
-// per-rep results via its slots.
+// state-serving core walks reps() to probe the cache, schedules the
+// missing ones through BuildBatchRequests(), and serves every query from
+// the per-rep results via its slots. A solo query is a plan of one query,
+// so solo and batched execution classify and serve states identically.
 
 #include <cstdint>
 #include <map>
@@ -49,10 +50,9 @@ class SharedStatePlan {
   };
 
   // Registers one rewritten query's states; returns one Slot per state.
-  // Classification is identical to solo execution (including the
-  // self-class fallback when Share() declines the class representative),
-  // so a batch serves every state from exactly the representative a solo
-  // run of the same query would have used.
+  // In share mode each state maps to its class representative, falling
+  // back to a self-class when Share() declines the representative; in
+  // no-share mode each state is its own direct representative.
   std::vector<Slot> AddQuery(const std::vector<AggStateDef>& states,
                              bool share);
 
@@ -76,23 +76,42 @@ class SharedStatePlan {
   int64_t states_requested_ = 0;
 };
 
-// The fused-pass schedule for the subset of representatives with
-// need[r] == true (typically: not served by the cache).
+// Positions of one representative's channels in a request list (-1 when
+// absent).
+struct ChannelSlots {
+  int main = -1;
+  int sign = -1;
+};
+
+// A fused-pass schedule: the channel requests of a set of representatives.
+// This is the one place state classes become StateBatch channels — the
+// session's cold pass, late per-rep fallback and delta refresh, and the
+// chunked session all build their requests through Add().
 struct BatchRequestPlan {
   std::vector<StateBatchRequest> requests;
   // Owns the input expressions the requests borrow; must stay alive until
   // ComputeStateBatch returns.
   std::vector<ExprPtr> keepalive;
-  // Per rep index: positions of its main / sign channels in `requests`
-  // (-1 when the rep was not scheduled, or has no sign channel).
+  // Per rep index (BuildBatchRequests only): positions of its main / sign
+  // channels in `requests` (-1 when the rep was not scheduled, or has no
+  // sign channel).
   std::vector<int> main_idx;
   std::vector<int> sign_idx;
+
+  // Appends the channels that compute class `cls`: count classes get a
+  // null-input kCount channel, other classes (MainOp, MainInputExpr) plus
+  // a Π sgn side channel when log-domain. `direct` (no-share mode) computes
+  // cls.rep verbatim as (op, input), borrowing cls.rep.input.
+  ChannelSlots Add(const StateClass& cls, bool direct = false);
 };
 
-// Builds the channel requests for every needed representative, mirroring
-// the solo fused path exactly: count reps get a null-input kCount channel,
-// class reps get (MainOp, MainInputExpr) plus a Π sgn side channel for
-// log-domain classes, and direct reps get (op, input) verbatim.
+// Appends the input columns the channels of `cls` read (see
+// BatchRequestPlan::Add for `direct`).
+void CollectClassColumns(const StateClass& cls, bool direct,
+                         std::vector<std::string>* out);
+
+// The fused-pass schedule for the subset of representatives with
+// need[r] == true (typically: not served by the cache), in rep order.
 BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
                                     const std::vector<bool>& need);
 

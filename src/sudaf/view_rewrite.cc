@@ -69,40 +69,20 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
       dst.AppendValue(src.GetValue(g));
     }
   }
-  std::vector<std::vector<double>> state_columns(
-      rewritten.form.states.size());
-  if (session->exec_options().use_fused) {
-    // All view states in one morsel-driven pass (duplicate inputs are
-    // deduplicated into shared channels inside the batch engine).
-    std::vector<StateBatchRequest> requests;
-    for (const AggStateDef& state : rewritten.form.states) {
-      if (state.op == AggOp::kCount) {
-        requests.push_back({AggOp::kCount, nullptr});
-      } else {
-        requests.push_back({state.op, state.input.get()});
-      }
-    }
-    SUDAF_ASSIGN_OR_RETURN(
-        state_columns,
-        ComputeStateBatch(requests, resolver, input.group_ids,
-                          input.num_groups, session->exec_options()));
-  } else {
-    for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
-      const AggStateDef& state = rewritten.form.states[i];
-      if (state.op == AggOp::kCount) {
-        state_columns[i] =
-            ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                input.num_groups, session->exec_options());
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, frame->num_rows()));
-        state_columns[i] =
-            ComputeGroupedState(state.op, in, input.group_ids,
-                                input.num_groups, session->exec_options());
-      }
+  // All view states in one morsel-driven pass (duplicate inputs are
+  // deduplicated into shared channels inside the batch engine).
+  std::vector<StateBatchRequest> requests;
+  for (const AggStateDef& state : rewritten.form.states) {
+    if (state.op == AggOp::kCount) {
+      requests.push_back({AggOp::kCount, nullptr});
+    } else {
+      requests.push_back({state.op, state.input.get()});
     }
   }
+  SUDAF_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> state_columns,
+      ComputeStateBatch(requests, resolver, input.group_ids,
+                        input.num_groups, session->exec_options()));
   for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
     Column& dst = view.data->column(view.num_key_columns +
                                     static_cast<int>(i));
@@ -246,40 +226,25 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
     return frame->GetColumn(col);
   };
   std::map<int, std::vector<double>> rolled;
-  if (session->exec_options().use_fused) {
-    // One fused pass over the delta frame; float64 state columns are
-    // aliased by the batch engine, so no per-state copies are made.
-    std::vector<ExprPtr> keepalive;
-    std::vector<StateBatchRequest> requests;
-    std::vector<int> request_state(needed_view_states.begin(),
-                                   needed_view_states.end());
-    for (int v : request_state) {
-      ExprPtr col_ref = Expr::Column(StateColumnName(v));
-      AggOp rollup_op =
-          view.states[v].op == AggOp::kCount ? AggOp::kSum
-                                             : view.states[v].op;
-      requests.push_back({rollup_op, col_ref.get()});
-      keepalive.push_back(std::move(col_ref));
-    }
-    SUDAF_ASSIGN_OR_RETURN(
-        std::vector<std::vector<double>> batch,
-        ComputeStateBatch(requests, delta_resolver, input.group_ids,
-                          input.num_groups, session->exec_options()));
-    for (size_t r = 0; r < request_state.size(); ++r) {
-      rolled[request_state[r]] = std::move(batch[r]);
-    }
-  } else {
-    for (int v : needed_view_states) {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col,
-                             frame->GetColumn(StateColumnName(v)));
-      std::vector<double> in(col->doubles().begin(), col->doubles().end());
-      AggOp rollup_op =
-          view.states[v].op == AggOp::kCount ? AggOp::kSum
-                                             : view.states[v].op;
-      rolled[v] = ComputeGroupedState(rollup_op, in, input.group_ids,
-                                      input.num_groups,
-                                      session->exec_options());
-    }
+  // One fused pass over the delta frame; float64 state columns are
+  // aliased by the batch engine, so no per-state copies are made.
+  std::vector<ExprPtr> keepalive;
+  std::vector<StateBatchRequest> requests;
+  std::vector<int> request_state(needed_view_states.begin(),
+                                 needed_view_states.end());
+  for (int v : request_state) {
+    ExprPtr col_ref = Expr::Column(StateColumnName(v));
+    AggOp rollup_op =
+        view.states[v].op == AggOp::kCount ? AggOp::kSum : view.states[v].op;
+    requests.push_back({rollup_op, col_ref.get()});
+    keepalive.push_back(std::move(col_ref));
+  }
+  SUDAF_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> batch,
+      ComputeStateBatch(requests, delta_resolver, input.group_ids,
+                        input.num_groups, session->exec_options()));
+  for (size_t r = 0; r < request_state.size(); ++r) {
+    rolled[request_state[r]] = std::move(batch[r]);
   }
 
   std::vector<std::vector<double>> state_values(rewritten.form.states.size());

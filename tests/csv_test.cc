@@ -2,6 +2,7 @@
 // inference and error reporting.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "gtest/gtest.h"
@@ -13,14 +14,18 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
+  void SetUp() override { std::filesystem::create_directories(dir_.path()); }
+
   std::string Path(const std::string& name) {
-    return testing::TempDir() + "/" + name;
+    return dir_.path() + "/" + name;
   }
 
   void WriteFile(const std::string& path, const std::string& content) {
     std::ofstream out(path);
     out << content;
   }
+
+  testing_util::ScopedTempPath dir_{"sudaf_csv"};
 };
 
 TEST_F(CsvTest, RoundTripAllTypes) {

@@ -1,6 +1,6 @@
 // Property tests for the fused StateBatch executor: for every aggregation
 // op and a family of input expressions, the fused morsel-driven pass must
-// agree with the legacy per-state path (EvalNumericVector +
+// agree with the per-state reference kernel (EvalNumericVector +
 // ComputeGroupedState), serially and in parallel, and repeated parallel
 // runs must be bitwise deterministic.
 //
@@ -10,9 +10,9 @@
 // only on input size and morsel size — never the worker count — so for a
 // given configuration results are bitwise identical at every thread count,
 // and a single-chunk input (≤ one morsel, like the fixtures here) is
-// bitwise equal to the legacy serial order. Expressions involving pow may
-// differ from the legacy path by a few ulps (the fused DAG
-// strength-reduces x^k into multiplication chains while the legacy
+// bitwise equal to the reference's serial order. Expressions involving pow
+// may differ from the reference by a few ulps (the fused DAG
+// strength-reduces x^k into multiplication chains while the reference
 // evaluator calls std::pow), so those compare within 1e-12 relative.
 
 #include <cmath>
@@ -88,12 +88,11 @@ std::vector<ParsedRequest> ParseRequests(
   return out;
 }
 
-// Legacy reference: materialize each input over the full frame, then run
+// Per-state reference: materialize each input over the full frame, then run
 // one serial grouped pass per state.
 std::vector<std::vector<double>> LegacyReference(
     const std::vector<ParsedRequest>& reqs, const FusedFixture& fix) {
   ExecOptions serial;
-  serial.use_fused = false;
   ColumnResolver resolver = fix.Resolver();
   std::vector<std::vector<double>> out;
   for (const ParsedRequest& r : reqs) {
@@ -129,7 +128,7 @@ bool IsExactOp(AggOp op) {
 }
 
 // Every op × a family of input shapes (plain column, int column, powers,
-// arithmetic, unary functions) must match the legacy per-state path.
+// arithmetic, unary functions) must match the per-state reference kernel.
 TEST(FusedStateBatchTest, MatchesLegacyAcrossOpsAndExpressions) {
   FusedFixture fix(20000, 13, 77);
   std::vector<std::pair<AggOp, std::string>> specs = {
@@ -304,11 +303,11 @@ TEST(FusedStateBatchTest, EmptyInputEdgeCases) {
   for (const auto& v : out) EXPECT_TRUE(v.empty());
 }
 
-// Full-stack property: the three session execution modes must agree with
-// each other AND with themselves under use_fused = false, across UDAF and
-// built-in select lists. This pins the fused default to the legacy
-// semantics end to end (rewrite, cache, terminating functions).
-TEST(FusedSessionTest, FusedAndLegacySessionsAgree) {
+// Full-stack property: the three session execution modes must agree,
+// across UDAF and built-in select lists. The engine-native baseline is the
+// reference; both SUDAF modes (rewrite, cache, terminating functions) must
+// match it and must have computed their states through the fused pass.
+TEST(FusedSessionTest, ExecutionModesAgree) {
   Rng rng(31337);
   std::vector<int64_t> g;
   std::vector<double> x;
@@ -329,37 +328,30 @@ TEST(FusedSessionTest, FusedAndLegacySessionsAgree) {
       "SELECT g, gm(x), hm(x) FROM t GROUP BY g",
       "SELECT g, sum(x*y), sum(x^2) FROM t GROUP BY g",
   };
-  for (ExecMode mode :
-       {ExecMode::kEngine, ExecMode::kSudafNoShare, ExecMode::kSudafShare}) {
-    for (const std::string& sql : queries) {
-      ExecOptions fused;  // defaults: use_fused = true
-      ExecOptions legacy;
-      legacy.use_fused = false;
-      SudafSession fused_session(&catalog, fused);
-      SudafSession legacy_session(&catalog, legacy);
-      auto a = fused_session.Execute(sql, mode);
-      auto b = legacy_session.Execute(sql, mode);
-      ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
-      const Table& ta = **a;
-      const Table& tb = **b;
-      ASSERT_EQ(ta.num_rows(), tb.num_rows()) << sql;
-      ASSERT_EQ(ta.num_columns(), tb.num_columns()) << sql;
+  for (const std::string& sql : queries) {
+    SudafSession engine_session(&catalog);
+    auto ref = engine_session.Execute(sql, ExecMode::kEngine);
+    ASSERT_TRUE(ref.ok()) << sql << ": " << ref.status().ToString();
+    const Table& tr = **ref;
+    for (ExecMode mode : {ExecMode::kSudafNoShare, ExecMode::kSudafShare}) {
+      SudafSession session(&catalog);
+      auto got = session.Execute(sql, mode);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      const Table& tg = **got;
+      ASSERT_EQ(tr.num_rows(), tg.num_rows()) << sql;
+      ASSERT_EQ(tr.num_columns(), tg.num_columns()) << sql;
       // States agree within 1e-12 (see the state-level tests above); the
       // terminating functions of the standardized moments amplify that
       // drift (division by var^2), hence the looser table tolerance.
-      for (int c = 0; c < ta.num_columns(); ++c) {
-        for (int64_t r = 0; r < ta.num_rows(); ++r) {
-          ExpectClose(tb.column(c).GetNumeric(r), ta.column(c).GetNumeric(r),
+      for (int c = 0; c < tr.num_columns(); ++c) {
+        for (int64_t r = 0; r < tr.num_rows(); ++r) {
+          ExpectClose(tr.column(c).GetNumeric(r), tg.column(c).GetNumeric(r),
                       1e-9);
         }
       }
-      if (mode != ExecMode::kEngine) {
-        // The fused pass must actually have run (and been observable).
-        EXPECT_TRUE(a->stats.used_fused) << sql;
-        EXPECT_GT(a->stats.fused_channels, 0) << sql;
-        EXPECT_FALSE(b->stats.used_fused) << sql;
-      }
+      // The fused pass must actually have run (and been observable).
+      EXPECT_TRUE(got->stats.used_fused) << sql;
+      EXPECT_GT(got->stats.fused_channels, 0) << sql;
     }
   }
 }
@@ -384,8 +376,8 @@ TEST(FusedSessionTest, ParallelSessionMatchesSerial) {
   parallel.parallel = true;
   parallel.num_threads = 4;
   parallel.morsel_size = 1024;
-  SudafSession a(&catalog, serial);
-  SudafSession b(&catalog, parallel);
+  SudafSession a(&catalog, SessionOptions{}.set_exec(serial));
+  SudafSession b(&catalog, SessionOptions{}.set_exec(parallel));
   const std::string sql =
       "SELECT g, kurtosis(x), sum(x*y), count(x) FROM t GROUP BY g";
   for (ExecMode mode : {ExecMode::kSudafNoShare, ExecMode::kSudafShare}) {

@@ -42,7 +42,7 @@ TEST(ChunkedPartitionedTest, AgreesUnderSparkExecution) {
   ExecOptions spark;
   spark.partitioned = true;
   spark.num_partitions = 4;
-  SudafSession session(&catalog, spark);
+  SudafSession session(&catalog, SessionOptions{}.set_exec(spark));
   ChunkedSharingSession chunked(&session, "t", "ts", 100);
 
   const std::string sql =
@@ -106,7 +106,8 @@ TEST(MultiKeyOrderTest, OrdersByTwoKeysWithDirections) {
 }
 
 TEST(CsvToSudafTest, ImportedTableRunsThroughTheWholePipeline) {
-  std::string path = testing::TempDir() + "/pipeline.csv";
+  testing_util::ScopedTempPath scratch("sudaf_pipeline_csv");
+  const std::string& path = scratch.path();
   {
     std::ofstream out(path);
     out << "city,pop\n";

@@ -223,7 +223,10 @@ TEST_F(SessionTest, MomentSketchPrefetchServesAS2StyleQueries) {
     if (!sketch_items.empty()) sketch_items += ", ";
     sketch_items += e;
   }
-  ASSERT_OK(session_->Prefetch(prefix + sketch_items + suffix));
+  ASSERT_OK(session_
+                ->Execute(prefix + sketch_items + suffix,
+                          ExecMode::kSudafShare)
+                .status());
 
   Run(prefix + "qm(x)" + suffix, ExecMode::kSudafShare);
   EXPECT_EQ(stats().states_computed, 0);

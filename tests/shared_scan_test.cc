@@ -147,6 +147,34 @@ TEST_F(SharedScanTest, MixedSignaturesSplitIntoGroupsAndSolo) {
   EXPECT_EQ(bstats.scan_passes_saved, 1);
 }
 
+// A solo query runs through the same state-serving core as a group of
+// one, yet looks exactly like a query that ran alone: no batch accounting
+// in its stats or the session registry, no batch event in its trace, and
+// the usual phase spans under its root.
+TEST_F(SharedScanTest, SoloQueryIsAGroupOfOneWithoutBatchAccounting) {
+  SudafSession session(&catalog_);
+  for (ExecMode mode : {ExecMode::kSudafNoShare, ExecMode::kSudafShare}) {
+    auto result =
+        session.Execute("SELECT g, kurtosis(x) FROM t GROUP BY g", mode);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.batch_size, 0);
+    EXPECT_EQ(result->stats.states_from_batch, 0);
+    EXPECT_GT(result->stats.states_computed, 0);
+    ASSERT_NE(result->trace, nullptr);
+    EXPECT_EQ(result->trace->EventCount("batch.group_size"), 0);
+    const std::vector<QueryTrace::Span> spans = result->trace->spans();
+    ASSERT_FALSE(spans.empty());
+    EXPECT_EQ(spans[0].name, "execute");
+    std::vector<std::string> phases;
+    for (const QueryTrace::Span& span : spans) {
+      if (span.parent == spans[0].id) phases.push_back(span.name);
+    }
+    EXPECT_EQ(phases, (std::vector<std::string>{"rewrite", "probe", "input",
+                                                "states", "terminate"}));
+  }
+  EXPECT_EQ(session.metrics().Snapshot().counter("sudaf.batch.size"), 0);
+}
+
 TEST_F(SharedScanTest, NoShareAndEngineModesStayBitIdentical) {
   const std::vector<std::string> queries = OverlappingQueries();
   for (ExecMode mode : {ExecMode::kSudafNoShare, ExecMode::kEngine}) {
@@ -217,7 +245,7 @@ TEST_F(SharedScanTest, WindowAndThreadMatrixIsBitIdentical) {
     exec.parallel = threads > 1;
     exec.num_threads = threads;
     for (const WindowConfig& w : windows) {
-      SudafSession session(&catalog_, exec);
+      SudafSession session(&catalog_, SessionOptions{}.set_exec(exec));
       ServiceOptions opts;
       opts.batch_window_ms = w.window_ms;
       opts.batch_max_queries = w.max_queries;

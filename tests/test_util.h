@@ -3,9 +3,13 @@
 
 // Shared helpers for the SUDAF test suite.
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -53,6 +57,46 @@ inline std::unique_ptr<Table> MakeXyTable(
   table->FinishBulkAppend();
   return table;
 }
+
+// A scratch path under ::testing::TempDir() private to the running test:
+// `tag`, the test's suite and name, and the process id. Every gtest case
+// runs as its own ctest process, so a fixed name would be shared — and
+// clobbered — by cases running concurrently under `ctest -j N`.
+inline std::string UniqueTempPath(const std::string& tag) {
+  std::string name = tag;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  if (info != nullptr) {
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  name += "_" + std::to_string(static_cast<long>(::getpid()));
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized test names contain '/'
+  }
+  return ::testing::TempDir() + "/" + name;
+}
+
+// A UniqueTempPath that starts absent and is removed (file or directory
+// tree) when the object goes out of scope.
+class ScopedTempPath {
+ public:
+  explicit ScopedTempPath(const std::string& tag)
+      : path_(UniqueTempPath(tag)) {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ~ScopedTempPath() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempPath(const ScopedTempPath&) = delete;
+  ScopedTempPath& operator=(const ScopedTempPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // Relative-tolerance comparison that treats two NaNs as equal.
 inline void ExpectClose(double expected, double actual, double tol = 1e-9) {

@@ -41,7 +41,7 @@ TEST(ParentDirOfTest, CoversTheCases) {
 class PosixVfsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/sudaf_vfs";
+    dir_ = testing_util::UniqueTempPath("sudaf_vfs");
     std::filesystem::remove_all(dir_);
     ASSERT_OK(Vfs::Default()->CreateDirs(dir_));
   }
@@ -404,8 +404,8 @@ TEST(VfsBreakerTest, NoSpaceDegradesToMemoryOnlyWithZeroFailedQueries) {
   }
   catalog.PutTable("t", testing_util::MakeXyTable(g, x, x));
 
-  std::string dir = ::testing::TempDir() + "/sudaf_vfs_breaker";
-  std::filesystem::remove_all(dir);
+  testing_util::ScopedTempPath scratch("sudaf_vfs_breaker");
+  const std::string& dir = scratch.path();
   SudafSession session(&catalog);
   ASSERT_OK(session.EnableCachePersistence(dir));
 
@@ -448,7 +448,6 @@ TEST(VfsBreakerTest, NoSpaceDegradesToMemoryOnlyWithZeroFailedQueries) {
   }
   EXPECT_EQ(service.breaker_state(), QueryService::BreakerState::kClosed);
   EXPECT_FALSE(session.cache_persistence_suspended());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #
 #   tools/check.sh tsan              # race-check the threaded paths
 #   tools/check.sh asan              # memory/UB check
-#   tools/check.sh release           # plain optimized build (default)
+#   tools/check.sh release           # plain optimized build (default),
+#                                    # then the suite again at -j 16 in
+#                                    # random order (test isolation)
 #   tools/check.sh tsan --stress     # + the chaos stress shard: repeat the
 #                                    # service chaos harness (concurrent
 #                                    # clients under cycling failpoints)
@@ -38,6 +40,12 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 cmake --preset "$preset"
 cmake --build --preset "$preset" -j "$(nproc)"
 ctest --preset "$preset" -j "$(nproc)"
+if [ "$preset" = release ]; then
+  # Isolation gate: every gtest case runs as its own ctest process, so a
+  # file or directory two cases share fails here, wide and in random order,
+  # instead of only on runners with more cores.
+  ctest --preset "$preset" -j 16 --schedule-random
+fi
 
 build_dir="build-${preset}"
 [ "$preset" = release ] && build_dir="build"
