@@ -311,6 +311,14 @@ struct SharePair {
   const char* f2;
 };
 
+// Names each instance after its pair ("sum(5*x) from sum(2*x)"). Without
+// it gtest prints the raw struct bytes — padding and string-literal
+// addresses — so the discovered test names changed on every run.
+void PrintTo(const SharePair& p, std::ostream* os) {
+  *os << AggOpName(p.op1) << "(" << p.f1 << ") from " << AggOpName(p.op2)
+      << "(" << p.f2 << ")";
+}
+
 class ShareNumericProperty : public ::testing::TestWithParam<SharePair> {};
 
 TEST_P(ShareNumericProperty, RFunctionIsExact) {
